@@ -44,6 +44,12 @@ type BenchResult struct {
 	Cpus           int     `json:"cpus,omitempty"`
 	Shards         int     `json:"shards,omitempty"`
 	SpeedupVsCpus1 float64 `json:"speedup_vs_cpus1,omitempty"`
+	// Fleet-scaling fields, set only by the pattern_fleet_scaling entry:
+	// µs per event on the small and the large fleet and their ratio, the
+	// number -baseline gates (maxFleetScaling).
+	SmallFleetUsPerEvent float64 `json:"small_fleet_us_per_event,omitempty"`
+	LargeFleetUsPerEvent float64 `json:"large_fleet_us_per_event,omitempty"`
+	FleetScalingRatio    float64 `json:"fleet_scaling_ratio,omitempty"`
 }
 
 // cidrQuery is the paper's §3.1 UNLESS query, the workhorse of both the
@@ -280,10 +286,11 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	// long enough that steady-state matching, not the 8× registration and
 	// log-growth warmup, dominates: with the old 24-machine/5-cycle stream
 	// (~400 events) the 8-shard entry measured warmup and inverted on a
-	// single core. At fleet scale the partitioned per-shard state makes
-	// matching cheaper in total, so shards=8 must beat shards=1 even on
-	// one core — that relation is what the pair of floors gates.
-	shardedDelivered := fleetStream()
+	// single core. Each floor gates its own path. State expiry is
+	// O(expired), so splitting the keys across shards saves no scanning:
+	// whatever lead shards=8 keeps over shards=1 comes from parallel
+	// cores (see -cpus).
+	shardedDelivered := fleetStream(fleetMachines)
 	for _, shards := range []int{1, 8} {
 		shards := shards
 		entries = append(entries, entry{
@@ -538,6 +545,24 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 	sampled := gatedSet(true)
 
 	var results []BenchResult
+	record := func(out BenchResult) error {
+		where := ""
+		if dir != "" {
+			data, err := json.MarshalIndent(out, "", "  ")
+			if err != nil {
+				return err
+			}
+			path := filepath.Join(dir, "BENCH_"+strings.ReplaceAll(out.Name, "/", "_")+".json")
+			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+				return err
+			}
+			where = "  -> " + path
+		}
+		fmt.Printf("%-40s %12.0f ns/op %12.0f events/s %8d allocs/op%s\n",
+			out.Name, out.NsPerOp, out.EventsPerS, out.AllocsPerOp, where)
+		results = append(results, out)
+		return nil
+	}
 	for _, e := range entries {
 		// Gated benchmarks (and the calibration anchor) are sampled
 		// best-of-3: single-sample wall numbers on a loaded or single-core
@@ -550,44 +575,16 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 		if sampled[e.name] {
 			runs = 3
 		}
-		// Settle the heap between entries: without this, allocation-heavy
-		// benchmarks inflate the GC pacing target for every entry after
-		// them, and the measured number depends on suite order rather than
-		// the code under test.
-		runtime.GC()
-		res := testing.Benchmark(e.bench)
-		for r := 1; r < runs; r++ {
-			again := testing.Benchmark(e.bench)
-			if float64(again.T.Nanoseconds())/float64(again.N) <
-				float64(res.T.Nanoseconds())/float64(res.N) {
-				res = again
-			}
+		if err := record(benchResult(e.name, e.events, bestOf(e.bench, runs))); err != nil {
+			return err
 		}
-		out := BenchResult{
-			Name:        e.name,
-			Iterations:  res.N,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-		}
-		if e.events > 0 && res.T > 0 {
-			out.EventsPerS = float64(e.events) * float64(res.N) / res.T.Seconds()
-		}
-		where := ""
-		if dir != "" {
-			data, err := json.MarshalIndent(out, "", "  ")
-			if err != nil {
-				return err
-			}
-			path := filepath.Join(dir, "BENCH_"+strings.ReplaceAll(e.name, "/", "_")+".json")
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			where = "  -> " + path
-		}
-		fmt.Printf("%-40s %12.0f ns/op %12.0f events/s %8d allocs/op%s\n",
-			e.name, out.NsPerOp, out.EventsPerS, out.AllocsPerOp, where)
-		results = append(results, out)
+	}
+	scaling, err := fleetScaling()
+	if err != nil {
+		return err
+	}
+	if err := record(scaling); err != nil {
+		return err
 	}
 	if update {
 		return updateBaselines(results, baselineDir)
@@ -596,6 +593,91 @@ WHERE {x.Machine_Id = y.Machine_Id} SC(each, consume)`
 		return checkBaselines(results, baselineDir)
 	}
 	return nil
+}
+
+// bestOf runs bench runs times and keeps the fastest result.
+func bestOf(bench func(*testing.B), runs int) testing.BenchmarkResult {
+	// Settle the heap first: without this, allocation-heavy benchmarks
+	// inflate the GC pacing target for every entry after them, and the
+	// measured number depends on suite order rather than the code under
+	// test.
+	runtime.GC()
+	res := testing.Benchmark(bench)
+	for r := 1; r < runs; r++ {
+		again := testing.Benchmark(bench)
+		if float64(again.T.Nanoseconds())/float64(again.N) <
+			float64(res.T.Nanoseconds())/float64(res.N) {
+			res = again
+		}
+	}
+	return res
+}
+
+// benchResult is the BENCH_*.json record of one measurement; events is the
+// number of delivered items per op (0 = events/s not reported).
+func benchResult(name string, events int, res testing.BenchmarkResult) BenchResult {
+	out := BenchResult{
+		Name:        name,
+		Iterations:  res.N,
+		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+		AllocsPerOp: res.AllocsPerOp(),
+	}
+	if events > 0 && res.T > 0 {
+		out.EventsPerS = float64(events) * float64(res.N) / res.T.Seconds()
+	}
+	return out
+}
+
+// The fleet-scaling gate: the §3.1 query, one shard, Middle consistency, on
+// fleetStream at a small and a large fleet. The query is key-partitioned
+// and state expiry costs O(expired), so per-event cost should barely move
+// with the number of live correlation keys; any per-event scan of live
+// state makes it grow linearly with them. -baseline fails when the ratio
+// of µs/event exceeds maxFleetScaling.
+const (
+	smallFleet      = 24
+	largeFleet      = 384
+	maxFleetScaling = 2.5
+)
+
+// fleetScaling measures µs/event at smallFleet and largeFleet machines
+// (best of 3 each) and reports them as the pattern_fleet_scaling entry; the
+// entry's own ns_op, events_per_sec and allocations are the large fleet's.
+func fleetScaling() (BenchResult, error) {
+	run := func(machines int) (testing.BenchmarkResult, int) {
+		in := fleetStream(machines)
+		return bestOf(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys := cedr.New()
+				q, err := sys.Register(cidrQuery, cedr.WithSpec(consistency.Middle()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Run(in)
+				if len(q.Alerts()) == 0 {
+					b.Fatal("no alerts")
+				}
+			}
+		}, 3), len(in)
+	}
+	usPerEvent := func(res testing.BenchmarkResult, events int) float64 {
+		return res.T.Seconds() * 1e6 / float64(res.N) / float64(events)
+	}
+	small, smallEvents := run(smallFleet)
+	large, largeEvents := run(largeFleet)
+	if small.N == 0 || large.N == 0 {
+		return BenchResult{}, fmt.Errorf("fleet scaling: a benchmark run failed")
+	}
+	out := benchResult("pattern_fleet_scaling", largeEvents, large)
+	out.SmallFleetUsPerEvent = usPerEvent(small, smallEvents)
+	out.LargeFleetUsPerEvent = usPerEvent(large, largeEvents)
+	out.FleetScalingRatio = out.LargeFleetUsPerEvent / out.SmallFleetUsPerEvent
+	fmt.Printf("fleet scaling: %.2f µs/event at %d machines, %.2f at %d — ratio %.2f (gate %.1f)\n",
+		out.SmallFleetUsPerEvent, smallFleet, out.LargeFleetUsPerEvent, largeFleet,
+		out.FleetScalingRatio, maxFleetScaling)
+	return out, nil
 }
 
 // updateBaselines re-records the committed baseline JSONs for the gated
@@ -746,6 +828,23 @@ func checkBaselines(results []BenchResult, dir string) error {
 	for n := range gated {
 		failures = append(failures, fmt.Sprintf(
 			"%s: gated benchmark missing from the suite results", n))
+	}
+	// The fleet-scaling gate is a bound on a ratio measured within one
+	// run, so it needs no committed baseline and no calibration.
+	scaled := false
+	for _, res := range results {
+		if res.FleetScalingRatio == 0 {
+			continue
+		}
+		scaled = true
+		if res.FleetScalingRatio > maxFleetScaling {
+			failures = append(failures, fmt.Sprintf(
+				"%s: µs/event grows %.2f× from %d to %d machines, above the %.1f× bound — per-event cost scales with live keys again",
+				res.Name, res.FleetScalingRatio, smallFleet, largeFleet, maxFleetScaling))
+		}
+	}
+	if !scaled {
+		failures = append(failures, "pattern_fleet_scaling: fleet-scaling ratio missing from the suite results")
 	}
 	if checked == 0 {
 		return fmt.Errorf("baseline check: no baseline files matched under %s", dir)

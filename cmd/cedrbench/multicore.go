@@ -19,14 +19,18 @@ import (
 	"repro/internal/workload"
 )
 
+// fleetMachines is the fleet size of the sharded benchmarks' workload.
+const fleetMachines = 192
+
 // fleetStream builds the fleet-scale CIDR07 workload the sharded
-// benchmarks run on: 192 machines over 20 install/shutdown/restart
-// cycles, delivered in order with a 10-minute CTI period. Long enough
-// that steady-state matching — not registration and log-growth warmup —
+// benchmarks run on (machines = fleetMachines) and the fleet-scaling gate
+// varies: that many machines over 20 install/shutdown/restart cycles,
+// delivered in order with a 10-minute CTI period. Long enough that
+// steady-state matching — not registration and log-growth warmup —
 // dominates the measurement.
-func fleetStream() stream.Stream {
+func fleetStream(machines int) stream.Stream {
 	src, _ := workload.MachineEvents(workload.Machines{
-		Seed: 1, Machines: 192, Cycles: 20,
+		Seed: 1, Machines: machines, Cycles: 20,
 		RestartDeadline: 5 * temporal.Minute, MissProb: 0.3,
 		CycleGap: 30 * temporal.Minute,
 	})
@@ -74,7 +78,7 @@ func runMulticoreSuite(dir string, cpus []int) error {
 		return err
 	}
 	const shards = 8
-	in := fleetStream()
+	in := fleetStream(fleetMachines)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 

@@ -38,7 +38,7 @@ func runServeBench(dir string) error {
 	var results []BenchResult
 
 	// --- Throughput: pipelined ingest at fleet scale.
-	events := fleetStream()
+	events := fleetStream(fleetMachines)
 	thr := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

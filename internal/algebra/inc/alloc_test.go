@@ -153,3 +153,50 @@ func TestAllocsKeyedSequenceHotPath(t *testing.T) {
 		t.Fatalf("keyed sequence hot path allocates %.2f/event, above the pinned ceiling %.0f — the key-indexed join path regressed", perEvent, ceiling)
 	}
 }
+
+// TestAllocsSteadyStateAdvance pins the expiry path's allocation cost. The
+// stream is shaped so matching derives nothing new once the interning
+// caches are warm: only position 0 of the SEQUENCE ever fills, so no
+// composite is built and nothing is emitted. What remains per event is the
+// expiry path itself — the store and leaf index pushes in Process, and an
+// Advance that moves the horizon with every event and pops what expired
+// from the store, the leaf and the join list. Index storage must amortize
+// to nothing once the window is steady.
+func TestAllocsSteadyStateAdvance(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	events := make([]event.Event, 3000)
+	vs := temporal.Time(0)
+	for i := range events {
+		vs += temporal.Time(rng.Intn(3) + 1)
+		typ := "INSTALL"
+		if i%4 == 3 {
+			typ = "RESTART" // outside the expression: store only
+		}
+		events[i] = event.NewInsert(event.ID(i+1), typ, vs, temporal.Infinity,
+			event.Payload{"Machine_Id": fmt.Sprintf("m%d", rng.Intn(64))})
+	}
+	base := NewOp(allocSeqExpr(), algebra.SCMode{}, "Pairs")
+	snapshot := base.Clone()
+	step := func(op *Op, e event.Event) {
+		op.Process(0, e)
+		op.Advance(e.V.Start)
+	}
+	// Warm the interning caches, then bring a fresh clone to steady state.
+	for _, e := range events {
+		step(base, e)
+	}
+	op := snapshot.Clone().(*Op)
+	half := len(events) / 2
+	for _, e := range events[:half] {
+		step(op, e)
+	}
+	next := half
+	perEvent := testing.AllocsPerRun(half-1, func() {
+		step(op, events[next])
+		next++
+	})
+	t.Logf("steady-state Process+Advance: %.2f allocs/event at state size %d", perEvent, op.StateSize())
+	if perEvent > 0 {
+		t.Fatalf("steady-state Process+Advance allocates %.2f/event; the expiry path must amortize its index storage to zero", perEvent)
+	}
+}

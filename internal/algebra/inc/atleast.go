@@ -112,7 +112,7 @@ func (a *atLeastNode) applyKid(i int, out *delta) {
 				a.refs[oid]--
 				if a.refs[oid] == 0 {
 					m := a.outs[oid]
-					a.u.matchMap(a.outs, oid)
+					a.u.matchMap(a.outs, oid, nil)
 					delete(a.outs, oid)
 					a.u.intMap(a.refs, oid)
 					delete(a.refs, oid)
@@ -223,7 +223,7 @@ func (a *atLeastNode) commit(sorted []algebra.Match, out *delta) {
 			m = algebra.Combine(sorted, a.w)
 			a.comb.put(id, m)
 		}
-		a.u.matchMap(a.outs, id)
+		a.u.matchMap(a.outs, id, nil)
 		a.outs[id] = m
 		out.add(m)
 	}

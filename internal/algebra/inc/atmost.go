@@ -145,7 +145,7 @@ func (a *atMostNode) ref(b algebra.Match, out *delta) {
 	a.u.intMap(a.refs, m.ID)
 	a.refs[m.ID]++
 	if a.refs[m.ID] == 1 {
-		a.u.matchMap(a.outs, m.ID)
+		a.u.matchMap(a.outs, m.ID, nil)
 		a.outs[m.ID] = m
 		out.add(m)
 	}
@@ -158,7 +158,7 @@ func (a *atMostNode) deref(b algebra.Match, out *delta) {
 	if a.refs[m.ID] == 0 {
 		a.u.intMap(a.refs, m.ID)
 		delete(a.refs, m.ID)
-		a.u.matchMap(a.outs, m.ID)
+		a.u.matchMap(a.outs, m.ID, nil)
 		delete(a.outs, m.ID)
 		out.del(m)
 	}

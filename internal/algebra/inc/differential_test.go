@@ -203,6 +203,7 @@ func checkStep(t *testing.T, label string, oracle *algebra.PatternOp, fast *Op,
 	if oracle.StateSize() != fast.StateSize() {
 		t.Fatalf("%s: state size diverged: oracle %d inc %d", label, oracle.StateSize(), fast.StateSize())
 	}
+	checkExpiryIndexes(t, label, fast)
 }
 
 // driveAligned pushes one aligned random script — inserts, interleaved
@@ -555,7 +556,7 @@ func TestDifferentialKeyedUnderMonitor(t *testing.T) {
 
 // TestKeyedStoresPruneBuckets pins the pruning seam of the key-indexed
 // stores: a stream cycling through ever-new keys must not accumulate dead
-// buckets once the watermark passes their matches (the empty-bucket GC in
+// buckets once the prune horizon passes their matches (the empty-bucket GC in
 // keyedList/negNode), and wild matches must not leak either.
 func TestKeyedStoresPruneBuckets(t *testing.T) {
 	expr := keyedZoo()["kcidr07"].(algebra.UnlessExpr)

@@ -57,7 +57,7 @@ const (
 	fuzzOpRemove    = 10 // 10,11: aligned full removal
 	fuzzOpAdvance   = 12 // 12,13: small advance
 	fuzzOpClone     = 14 // version/clone ops, sub-selected by a%4 (see decode)
-	fuzzOpFarAdv    = 15 // far advance: forces watermark pruning
+	fuzzOpFarAdv    = 15 // far advance: forces scope pruning
 )
 
 func FuzzIncVsOracle(f *testing.F) {
@@ -188,6 +188,7 @@ func FuzzIncVsOracle(f *testing.F) {
 					oracle = oracle.Clone().(*algebra.PatternOp)
 					fast = fast.Clone().(*Op)
 					marks = marks[:0]
+					checkExpiryIndexes(t, label+" clone", fast)
 				case 1: // checkpoint capture: journal mark + frozen oracle
 					marks = append(marks, fuzzMark{
 						v:   fast.Mark(),
@@ -196,6 +197,7 @@ func FuzzIncVsOracle(f *testing.F) {
 						la:  lastAdvance,
 						vs:  vs,
 					})
+					checkExpiryIndexes(t, label+" mark", fast)
 				case 2: // rollback to a retained mark
 					if len(marks) == 0 {
 						continue
@@ -218,7 +220,7 @@ func FuzzIncVsOracle(f *testing.F) {
 					marks = marks[j:]
 					checkStep(t, label+" compact", oracle, fast, nil, nil)
 				}
-			default: // far advance: pushes the watermark past live state
+			default: // far advance: pushes the prune horizon past live state
 				adv := vs.Add(temporal.Duration(a) + 64)
 				if adv > lastAdvance {
 					lastAdvance = adv

@@ -22,8 +22,8 @@ import (
 //     (prior value + existence for map keys, the removed/inserted value
 //     for sorted lists, index-based records — sound under strict LIFO —
 //     for the pending list and the ATMOST entry array).
-//   - Op scalars (frontier, watermarks, mature fast-path state) are NOT
-//     journaled per mutation: a barrier snapshots all of them, and
+//   - Op scalars (frontier, mature fast-path state) are NOT journaled
+//     per mutation: a barrier snapshots all of them, and
 //     Rollback restores the barrier's copy wholesale.
 //   - The interning caches (combCache entries, leaf payload interning) are
 //     never journaled: entries are immutable values keyed by globally
@@ -33,6 +33,11 @@ import (
 //   - negNode.maxSpan is never journaled: it only widens, and a
 //     stale-too-wide span merely starts the candidate scan earlier — every
 //     visited candidate is still filtered exactly.
+//   - The expiry indexes (expiry.go) are never journaled: they are lazy
+//     supersets of their maps' live entries. The records of an indexed
+//     map carry its index in kv, and undoing a delete or overwrite
+//     re-pushes the restored entry; an undone insert only leaves a stale
+//     entry behind.
 //   - Scratch buffers (deltas, selection/commit scratch) are not state.
 //
 // Allocation discipline: records go into one flat spine slice; heavyweight
@@ -87,10 +92,10 @@ type undoRec struct {
 
 const (
 	jBarrier  uint8 = iota // a Mark point; payload: scal
-	jEvMap                 // map[ID]Event set/delete; flag=existed; payload evs if existed
+	jEvMap                 // map[ID]Event set/delete; flag=existed; kv=index; payload evs if existed
 	jTimeMap               // map[ID]Time set/delete; flag=existed; t=old
 	jIntMap                // map[ID]int set/delete; flag=existed; i=old
-	jMatchMap              // map[ID]Match set/delete; flag=existed; payload ms if existed
+	jMatchMap              // map[ID]Match set/delete; flag=existed; kv=index or nil; payload ms if existed
 	jListIns               // matchList.insert; payload ms
 	jListDel               // matchList.removeMatch (successful); payload ms
 	jKListIns              // keyedList.insert; flag=def; payload ms
@@ -106,7 +111,6 @@ const (
 	jCandAdd               // negNode.candAdd; t=lo, id=a.ID, flag=def
 	jCandDel               // negNode.candRemove (successful); flag=def; payload cs
 	jBlock                 // negCand.blockers += delta; i=bucket kind; flag = delta>0
-	jLeafMin               // leafNode.minVs assignment; t=old
 	jReset                 // Advance(∞) full reset; payload rsts
 )
 
@@ -128,8 +132,6 @@ type opScalars struct {
 	minFutureFin temporal.Time
 	dirty        bool
 	stable       int
-	lowVs        temporal.Time
-	lowEmit      temporal.Time
 
 	nMs, nEvs, nCs, nAms, nIdss, nRsts uint64
 }
@@ -141,6 +143,7 @@ type resetState struct {
 	root     node
 	store    map[event.ID]event.Event
 	consumed map[event.ID]event.Event
+	evIdx    expiryIndex
 	pending  []algebra.Match
 }
 
@@ -150,27 +153,30 @@ type resetState struct {
 // single predictable branch while off (the legacy clone-driven paths and
 // every standalone operator).
 
-func (u *undoLog) evMap(m map[event.ID]event.Event, id event.ID) {
+// The map appenders take the map's expiry index (nil for an unindexed
+// map), which undo keeps covering what it restores.
+
+func (u *undoLog) evMap(m map[event.ID]event.Event, id event.ID, x *expiryIndex) {
 	if u.on {
-		u.evMapSlow(m, id)
+		u.evMapSlow(m, id, x)
 	}
 }
 
-func (u *undoLog) evMapSlow(m map[event.ID]event.Event, id event.ID) {
+func (u *undoLog) evMapSlow(m map[event.ID]event.Event, id event.ID, x *expiryIndex) {
 	old, existed := m[id]
 	if existed {
 		u.evs = append(u.evs, old)
 	}
-	u.run = append(u.run, undoRec{kind: jEvMap, flag: existed, id: id, node: m})
+	u.run = append(u.run, undoRec{kind: jEvMap, flag: existed, id: id, node: m, kv: x})
 }
 
 // evMapKnown is evMap for call sites that already hold the entry from a
-// lookup or iteration they performed anyway — the hottest appender on the
+// lookup they performed anyway — the hottest appender on the
 // consume/prune paths, spared its duplicate map access.
-func (u *undoLog) evMapKnown(m map[event.ID]event.Event, id event.ID, old event.Event) {
+func (u *undoLog) evMapKnown(m map[event.ID]event.Event, id event.ID, old event.Event, x *expiryIndex) {
 	if u.on {
 		u.evs = append(u.evs, old)
-		u.run = append(u.run, undoRec{kind: jEvMap, flag: true, id: id, node: m})
+		u.run = append(u.run, undoRec{kind: jEvMap, flag: true, id: id, node: m, kv: x})
 	}
 }
 
@@ -196,18 +202,18 @@ func (u *undoLog) intMapSlow(m map[event.ID]int, id event.ID) {
 	u.run = append(u.run, undoRec{kind: jIntMap, flag: existed, id: id, i: old, node: m})
 }
 
-func (u *undoLog) matchMap(m map[event.ID]algebra.Match, id event.ID) {
+func (u *undoLog) matchMap(m map[event.ID]algebra.Match, id event.ID, x *expiryIndex) {
 	if u.on {
-		u.matchMapSlow(m, id)
+		u.matchMapSlow(m, id, x)
 	}
 }
 
-func (u *undoLog) matchMapSlow(m map[event.ID]algebra.Match, id event.ID) {
+func (u *undoLog) matchMapSlow(m map[event.ID]algebra.Match, id event.ID, x *expiryIndex) {
 	old, existed := m[id]
 	if existed {
 		u.ms = append(u.ms, old)
 	}
-	u.run = append(u.run, undoRec{kind: jMatchMap, flag: existed, id: id, node: m})
+	u.run = append(u.run, undoRec{kind: jMatchMap, flag: existed, id: id, node: m, kv: x})
 }
 
 func (u *undoLog) listIns(l *matchList, m *algebra.Match) {
@@ -339,12 +345,6 @@ func (u *undoLog) block(n *negNode, bucket int, bkv event.Value, lo temporal.Tim
 	}
 }
 
-func (u *undoLog) leafMin(l *leafNode) {
-	if u.on {
-		u.run = append(u.run, undoRec{kind: jLeafMin, t: l.minVs, node: l})
-	}
-}
-
 func (u *undoLog) reset(p *Op) {
 	if u.on {
 		u.resetSlow(p)
@@ -353,7 +353,8 @@ func (u *undoLog) reset(p *Op) {
 
 func (u *undoLog) resetSlow(p *Op) {
 	u.rsts = append(u.rsts, resetState{
-		sh: p.sh, root: p.root, store: p.store, consumed: p.consumed, pending: p.pending.ms,
+		sh: p.sh, root: p.root, store: p.store, consumed: p.consumed,
+		evIdx: p.evIdx, pending: p.pending.ms,
 	})
 	u.run = append(u.run, undoRec{kind: jReset, node: p})
 }
@@ -382,8 +383,6 @@ func (u *undoLog) mark(p *Op) uint64 {
 		minFutureFin: p.minFutureFin,
 		dirty:        p.dirty,
 		stable:       p.stable,
-		lowVs:        p.lowVs,
-		lowEmit:      p.lowEmit,
 
 		nMs:   u.msDrop + uint64(len(u.ms)),
 		nEvs:  u.evsDrop + uint64(len(u.evs)),
@@ -425,8 +424,9 @@ func (u *undoLog) rollbackTo(pos uint64, p *Op) bool {
 	p.minFutureFin = s.minFutureFin
 	p.dirty = s.dirty
 	p.stable = s.stable
-	p.lowVs = s.lowVs
-	p.lowEmit = s.lowEmit
+	// The event index spans two maps, so its undo records re-push without
+	// refitting; one fit here restores its size bound.
+	p.fitEvents()
 	return true
 }
 
@@ -486,9 +486,12 @@ func (u *undoLog) undo(r *undoRec) {
 		u.scal = u.scal[:len(u.scal)-1]
 	case jEvMap:
 		m := r.node.(map[event.ID]event.Event)
+		x := r.kv.(*expiryIndex)
 		if r.flag {
-			m[r.id] = u.evs[len(u.evs)-1]
+			e := u.evs[len(u.evs)-1]
 			u.evs = u.evs[:len(u.evs)-1]
+			m[r.id] = e
+			x.push(eventExpiry(&e), r.id)
 		} else {
 			delete(m, r.id)
 		}
@@ -508,10 +511,18 @@ func (u *undoLog) undo(r *undoRec) {
 		}
 	case jMatchMap:
 		m := r.node.(map[event.ID]algebra.Match)
+		x, _ := r.kv.(*expiryIndex)
 		if r.flag {
-			m[r.id] = u.popMatch()
+			old := u.popMatch()
+			m[r.id] = old
+			if x != nil {
+				x.push(matchExpiry(&old), r.id)
+			}
 		} else {
 			delete(m, r.id)
+		}
+		if x != nil {
+			x.fitMatches(m)
 		}
 	case jListIns:
 		m := u.popMatch()
@@ -583,8 +594,6 @@ func (u *undoLog) undo(r *undoRec) {
 				cs[i].blockers++
 			}
 		}
-	case jLeafMin:
-		r.node.(*leafNode).minVs = r.t
 	case jReset:
 		p := r.node.(*Op)
 		rs := u.rsts[len(u.rsts)-1]
@@ -593,6 +602,7 @@ func (u *undoLog) undo(r *undoRec) {
 		p.root = rs.root
 		p.store = rs.store
 		p.consumed = rs.consumed
+		p.evIdx = rs.evIdx
 		p.pending = pendingList{ms: rs.pending}
 	}
 }

@@ -120,7 +120,7 @@ func canonKeyValue(v event.Value) (event.Value, bool) {
 // definite key plus one list for wild matches. Empty buckets are deleted
 // eagerly — the pruning seam for key-heavy streams: a source cycling
 // through many distinct keys must not leave a map of dead keys behind once
-// the watermark (or a removal storm) drains their matches.
+// the prune horizon (or a removal storm) drains their matches.
 type keyedList struct {
 	buckets map[event.Value]*matchList
 	wild    matchList

@@ -279,13 +279,10 @@ type leafNode struct {
 	t      algebra.TypeExpr
 	prefix string
 	live   map[event.ID]algebra.Match // keyed by primitive event ID
-	// minVs is a conservative lower bound over live occurrence times — the
-	// per-leaf watermark: a prune whose horizon lies at or below it proves
-	// this leaf holds nothing prunable and skips the scan (the Op-level
-	// lowVs gate only proves *some* leaf has prunable state; with the
-	// pushdown shrinking per-key work, these map scans were next in the
-	// profile). Removals leave it stale, forcing at most one extra scan.
-	minVs temporal.Time
+	// idx is live's expiry index (expiry.go) by occurrence time: a prune
+	// pops only the matches below the horizon, and a leaf holding nothing
+	// prunable costs one comparison.
+	idx expiryIndex
 	// interned caches the derived match per primitive event ID, shared
 	// with clones: the checkpoint operator's push of an event the live
 	// operator already saw — and any revival re-push after an un-consume —
@@ -296,7 +293,7 @@ type leafNode struct {
 
 func newLeaf(t algebra.TypeExpr, sh *shared) *leafNode {
 	return &leafNode{t: t, prefix: t.Prefix(), live: map[event.ID]algebra.Match{},
-		minVs: temporal.Infinity, interned: newCombCache(), u: sh.u}
+		interned: newCombCache(), u: sh.u}
 }
 
 func (l *leafNode) push(e event.Event, out *delta) {
@@ -321,45 +318,39 @@ func (l *leafNode) push(e event.Event, out *delta) {
 		}
 		l.interned.put(e.ID, m)
 	}
-	l.u.matchMap(l.live, e.ID)
+	l.u.matchMap(l.live, e.ID, &l.idx)
 	l.live[e.ID] = m
-	if m.V.Start < l.minVs {
-		l.u.leafMin(l)
-		l.minVs = m.V.Start
-	}
+	l.idx.push(m.V.Start, e.ID)
+	l.idx.fitMatches(l.live)
 	out.add(m)
 }
 
 func (l *leafNode) remove(id event.ID, out *delta) {
 	if m, ok := l.live[id]; ok {
-		l.u.matchMap(l.live, id)
-		delete(l.live, id)
-		out.del(m)
+		l.drop(id, m, out)
 	}
 }
 
 func (l *leafNode) prune(horizon temporal.Time, out *delta) {
-	if horizon <= l.minVs {
-		return
-	}
-	l.u.leafMin(l)
-	low := temporal.Infinity
-	for id, m := range l.live {
-		if m.V.Start < horizon {
-			l.u.matchMap(l.live, id)
-			delete(l.live, id)
-			out.del(m)
-		} else if m.V.Start < low {
-			low = m.V.Start
+	for l.idx.min() < horizon {
+		id := l.idx.pop().id
+		if m, ok := l.live[id]; ok && m.V.Start < horizon {
+			l.drop(id, m, out)
 		}
 	}
-	l.minVs = low
+}
+
+func (l *leafNode) drop(id event.ID, m algebra.Match, out *delta) {
+	l.u.matchMap(l.live, id, &l.idx)
+	delete(l.live, id)
+	l.idx.fitMatches(l.live)
+	out.del(m)
 }
 
 func (l *leafNode) clone(sh *shared) node {
 	c := &leafNode{t: l.t, prefix: l.prefix,
 		live:     make(map[event.ID]algebra.Match, len(l.live)),
-		minVs:    l.minVs,
+		idx:      l.idx.clone(),
 		interned: l.interned,
 		u:        sh.u}
 	for id, m := range l.live {

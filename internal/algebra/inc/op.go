@@ -74,15 +74,13 @@ type Op struct {
 	// always walks from 0: its consumed-set threads across groups.
 	stable int
 
-	// Prune watermarks: the prune scans over the tree, the stores and the
-	// emitted table are skipped entirely while the horizon lies at or
-	// below the earliest retained occurrence. Tree state derives from
-	// leaf events, every one of which lives in store, so lowVs covers the
-	// tree too. The watermarks are conservative lower bounds: deletions
-	// leave them stale (forcing at most one extra scan, which recomputes
-	// them exactly).
-	lowVs   temporal.Time // min V.Start over store ∪ consumed
-	lowEmit temporal.Time // min LastVs over emitted
+	// Expiry indexes (expiry.go): evIdx over store ∪ consumed by V.Start
+	// (consumption and revival move an event between the two without
+	// touching its entry), emitIdx over emitted by LastVs. Advance pops
+	// only what lies below the horizon. Tree state derives from leaf
+	// events, every one of which lives in store, so evIdx's minimum also
+	// gates the tree prune.
+	evIdx, emitIdx expiryIndex
 
 	// aliased: this handle's state is structurally shared with at least one
 	// other handle (a lazy Clone). Every shared structure is frozen — any
@@ -172,8 +170,6 @@ func NewOp(expr algebra.Expr, mode algebra.SCMode, outType string, opts ...OpOpt
 		scope:        scope,
 		minAddFin:    temporal.Infinity,
 		minFutureFin: temporal.Infinity,
-		lowVs:        temporal.Infinity,
-		lowEmit:      temporal.Infinity,
 	}
 	for _, o := range opts {
 		o(p)
@@ -303,11 +299,10 @@ func (p *Op) Process(_ int, e event.Event) []event.Event {
 	// (the monitor's repair diff leans on exactly that sharing), so the
 	// defensive deep clone the oracle performs buys nothing here — and the
 	// leaf re-namespaces the payload into a fresh map anyway.
-	p.sh.u.evMap(p.store, e.ID)
+	p.sh.u.evMap(p.store, e.ID, &p.evIdx)
 	p.store[e.ID] = e
-	if e.V.Start < p.lowVs {
-		p.lowVs = e.V.Start
-	}
+	p.evIdx.push(e.V.Start, e.ID)
+	p.fitEvents()
 	if p.trackVs && e.Kind == event.Insert {
 		p.sh.u.timeMap(p.sh.vs, e.ID)
 		p.sh.vs[e.ID] = e.V.Start
@@ -330,13 +325,11 @@ func (p *Op) remove(id event.ID) []event.Event {
 		return nil
 	}
 	if inStore {
-		p.sh.u.evMapKnown(p.store, id, sev)
+		p.dropEvent(p.store, id, sev)
 	}
 	if wasConsumed {
-		p.sh.u.evMapKnown(p.consumed, id, cev)
+		p.dropEvent(p.consumed, id, cev)
 	}
-	delete(p.store, id)
-	delete(p.consumed, id)
 	if p.trackVs {
 		p.sh.u.timeMap(p.sh.vs, id)
 		delete(p.sh.vs, id)
@@ -365,8 +358,7 @@ func (p *Op) remove(id event.ID) []event.Event {
 		r.Kind = event.Retract
 		r.V.End = r.V.Start
 		outs = append(outs, r)
-		p.sh.u.matchMap(p.emitted, m.ID)
-		delete(p.emitted, m.ID)
+		p.dropEmitted(m.ID)
 		p.dirty = true
 		if wasConsumed || p.Mode.Cons == algebra.Consume {
 			for _, c := range m.CBT {
@@ -374,10 +366,7 @@ func (p *Op) remove(id event.ID) []event.Event {
 					continue
 				}
 				if ev, ok := p.consumed[c]; ok {
-					p.sh.u.evMapKnown(p.consumed, c, ev)
-					delete(p.consumed, c)
-					p.sh.u.evMap(p.store, c)
-					p.store[c] = ev
+					p.moveEvent(p.consumed, p.store, c, ev)
 					if p.trackVs {
 						p.sh.u.timeMap(p.sh.vs, c)
 						p.sh.vs[c] = ev.V.Start
@@ -393,6 +382,37 @@ func (p *Op) remove(id event.ID) []event.Event {
 	p.remBuf = outs[:0]
 	p.sh.u.flush()
 	return outs
+}
+
+// dropEvent deletes id, whose entry old the caller already holds, from m —
+// the available store or the consumed side store.
+func (p *Op) dropEvent(m map[event.ID]event.Event, id event.ID, old event.Event) {
+	p.sh.u.evMapKnown(m, id, old, &p.evIdx)
+	delete(m, id)
+	p.fitEvents()
+}
+
+// moveEvent moves ev between the available and the consumed store; its
+// evIdx entry stays valid.
+func (p *Op) moveEvent(from, to map[event.ID]event.Event, id event.ID, ev event.Event) {
+	p.sh.u.evMapKnown(from, id, ev, &p.evIdx)
+	delete(from, id)
+	p.sh.u.evMap(to, id, &p.evIdx)
+	to[id] = ev
+}
+
+// fitEvents restores evIdx's size bound over store ∪ consumed.
+func (p *Op) fitEvents() {
+	if p.evIdx.oversized(len(p.store) + len(p.consumed)) {
+		p.evIdx.rebuildEvents(p.store, p.consumed)
+	}
+}
+
+// dropEmitted deletes id from the emitted table.
+func (p *Op) dropEmitted(id event.ID) {
+	p.sh.u.matchMap(p.emitted, id, &p.emitIdx)
+	delete(p.emitted, id)
+	p.emitIdx.fitMatches(p.emitted)
 }
 
 // mature emits every not-yet-emitted pending match whose FinalizeAt the
@@ -466,11 +486,10 @@ func (p *Op) mature() []event.Event {
 		if _, done := p.emitted[m.ID]; done {
 			continue
 		}
-		p.sh.u.matchMap(p.emitted, m.ID)
+		p.sh.u.matchMap(p.emitted, m.ID, &p.emitIdx)
 		p.emitted[m.ID] = m
-		if m.LastVs < p.lowEmit {
-			p.lowEmit = m.LastVs
-		}
+		p.emitIdx.push(m.LastVs, m.ID)
+		p.emitIdx.fitMatches(p.emitted)
 		if p.Mode.Cons == algebra.Consume {
 			p.consume(m)
 		}
@@ -490,14 +509,11 @@ func (p *Op) consume(m algebra.Match) {
 		if !ok {
 			continue
 		}
-		p.sh.u.evMapKnown(p.store, id, ev)
-		delete(p.store, id)
+		p.moveEvent(p.store, p.consumed, id, ev)
 		if p.trackVs {
 			p.sh.u.timeMap(p.sh.vs, id)
 			delete(p.sh.vs, id)
 		}
-		p.sh.u.evMap(p.consumed, id)
-		p.consumed[id] = ev
 		p.rootDelta.reset()
 		p.root.remove(id, &p.rootDelta)
 		p.apply(&p.rootDelta, srcConsume)
@@ -515,48 +531,35 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 	if !p.frontier.IsInfinite() {
 		// Prune on every advance, exactly like the oracle: even input that
 		// violates the alignment contract (which the oracle tolerates) must
-		// leave both implementations in identical state. The watermarks
-		// skip the scans when nothing can be below the horizon — skipping
-		// a provably empty prune leaves identical state.
+		// leave both implementations in identical state. The expiry
+		// indexes hand out only the entries below the horizon; a popped
+		// entry whose map entry is gone or now later is stale and skipped.
+		// The event index's minimum skips the tree walk when no leaf can
+		// hold anything prunable — skipping a provably empty prune leaves
+		// identical state.
 		horizon := p.frontier.Add(-p.scope)
-		if horizon > p.lowVs {
+		if p.evIdx.min() < horizon {
 			p.rootDelta.reset()
 			p.root.prune(horizon, &p.rootDelta)
 			p.apply(&p.rootDelta, srcPrune)
-			low := temporal.Infinity
-			for id, e := range p.store {
-				if e.V.Start < horizon {
-					p.sh.u.evMapKnown(p.store, id, e)
-					delete(p.store, id)
+			for p.evIdx.min() < horizon {
+				id := p.evIdx.pop().id
+				if e, ok := p.store[id]; ok && e.V.Start < horizon {
+					p.dropEvent(p.store, id, e)
 					if p.trackVs {
 						p.sh.u.timeMap(p.sh.vs, id)
 						delete(p.sh.vs, id)
 					}
-				} else if e.V.Start < low {
-					low = e.V.Start
+				} else if e, ok := p.consumed[id]; ok && e.V.Start < horizon {
+					p.dropEvent(p.consumed, id, e)
 				}
 			}
-			for id, e := range p.consumed {
-				if e.V.Start < horizon {
-					p.sh.u.evMapKnown(p.consumed, id, e)
-					delete(p.consumed, id)
-				} else if e.V.Start < low {
-					low = e.V.Start
-				}
-			}
-			p.lowVs = low
 		}
-		if horizon > p.lowEmit {
-			low := temporal.Infinity
-			for id, m := range p.emitted {
-				if m.LastVs < horizon {
-					p.sh.u.matchMap(p.emitted, id)
-					delete(p.emitted, id)
-				} else if m.LastVs < low {
-					low = m.LastVs
-				}
+		for p.emitIdx.min() < horizon {
+			id := p.emitIdx.pop().id
+			if m, ok := p.emitted[id]; ok && m.LastVs < horizon {
+				p.dropEmitted(id)
 			}
-			p.lowEmit = low
 		}
 	} else {
 		// Wholesale reset: journal the replaced containers (the tree, the
@@ -567,12 +570,12 @@ func (p *Op) Advance(t temporal.Time) []event.Event {
 		p.root = build(p.Expr, p.sh, buildCtx{pos: true})
 		p.store = map[event.ID]event.Event{}
 		p.consumed = map[event.ID]event.Event{}
+		p.evIdx = expiryIndex{}
 		p.pending = pendingList{}
 		p.dirty = false
 		p.stable = 0
 		p.minAddFin = temporal.Infinity
 		p.minFutureFin = temporal.Infinity
-		p.lowVs = temporal.Infinity
 	}
 	p.sh.u.flush()
 	return outs
@@ -669,8 +672,8 @@ func (p *Op) deepClone() *Op {
 		minFutureFin: p.minFutureFin,
 		dirty:        p.dirty,
 		stable:       p.stable,
-		lowVs:        p.lowVs,
-		lowEmit:      p.lowEmit,
+		evIdx:        p.evIdx.clone(),
+		emitIdx:      p.emitIdx.clone(),
 	}
 	for id, e := range p.store {
 		c.store[id] = e

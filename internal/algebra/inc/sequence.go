@@ -102,7 +102,7 @@ func (s *seqNode) applyKid(i int, out *delta) {
 			}
 			for _, oid := range s.uses[it.m.ID] {
 				if m, ok := s.outs[oid]; ok {
-					s.u.matchMap(s.outs, oid)
+					s.u.matchMap(s.outs, oid, nil)
 					delete(s.outs, oid)
 					out.del(m)
 				}
@@ -193,7 +193,7 @@ func (s *seqNode) commit(out *delta) {
 		m = algebra.Combine(s.parts, s.w)
 		s.comb.put(id, m)
 	}
-	s.u.matchMap(s.outs, id)
+	s.u.matchMap(s.outs, id, nil)
 	s.outs[id] = m
 	for _, p := range s.parts {
 		s.u.usesApp(s.uses, p.ID)
