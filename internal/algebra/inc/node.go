@@ -30,14 +30,16 @@
 // delta per node for collecting child transitions, so the steady-state
 // push path allocates nothing for delta plumbing. Derived matches —
 // the leaf's namespaced-payload match and the join nodes' combined
-// composites — are interned in caches shared with clones: the
-// consistency monitor drives every event through a live operator and,
-// later, through its cloned checkpoint (and replays suffixes through
-// snapshot clones), so the second and subsequent derivations of the
-// same match reuse the first one's payload map and lineage outright.
-// Clones of one operator are only ever driven sequentially (the Op
-// contract), which is what makes the sharing sound; parallel shards
-// build fresh operators via plan.Fresh and never share caches.
+// composites — are interned in caches shared with clones. The consistency
+// monitor keeps no operator copy for this Versioned operator: a straggler
+// rolls the live operator back and replays the log suffix through it, so
+// interning pays on that rollback replay, where the second and subsequent
+// derivations of the same match reuse the first one's payload map and
+// lineage outright. The journal keeps the caches out of the undo records:
+// a rolled-back derivation stays interned for its replay. Clones of one
+// operator are only ever driven sequentially (the Op contract), which is
+// what makes the sharing sound; parallel shards build fresh operators via
+// plan.Fresh and never share caches.
 package inc
 
 import (
@@ -134,17 +136,16 @@ const internCap = 4096
 
 // combCache interns derived matches by ID — combined composites keyed by
 // output ID at join nodes, namespaced leaf matches keyed by primitive
-// event ID — shared between an operator and its clones. The monitor's checkpoint operator
-// re-derives exactly the matches the live operator already derived, so
-// the second derivation reuses the first's payload map and lineage
-// slices. Entries are immutable once stored.
+// event ID — shared between an operator and its clones. A rollback replay
+// re-derives exactly the matches the rolled-back timeline already
+// derived, so the second derivation reuses the first's payload map and
+// lineage slices. Entries are immutable once stored.
 type combCache struct {
 	m map[event.ID]algebra.Match
 }
 
-// The map is lazily initialized: keyed fan-out builds one tree per
-// correlation key, and most per-key leaves intern only a handful of
-// matches (or none), so pre-sizing here dominated the allocation profile.
+// The map is lazily initialized: every leaf and join node holds a cache,
+// and a node that derives nothing should not pay for a pre-sized map.
 func newCombCache() *combCache { return &combCache{} }
 
 func (c *combCache) get(id event.ID) (algebra.Match, bool) {
@@ -284,9 +285,9 @@ type leafNode struct {
 	// prunable costs one comparison.
 	idx expiryIndex
 	// interned caches the derived match per primitive event ID, shared
-	// with clones: the checkpoint operator's push of an event the live
-	// operator already saw — and any revival re-push after an un-consume —
-	// reuses the namespaced payload map instead of rebuilding it.
+	// with clones: a rollback replay's push of an event the leaf already
+	// saw — and any revival re-push after an un-consume — reuses the
+	// namespaced payload map instead of rebuilding it.
 	interned *combCache
 	u        *undoLog
 }

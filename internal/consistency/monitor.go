@@ -34,11 +34,11 @@ import (
 //
 //   - Repair (M > 0): the monitor keeps a checkpoint of the operator as of
 //     the last input guarantee plus the log of every input since. When a
-//     straggler arrives, the operator is rolled back to a snapshot taken at
-//     or before the straggler's position and the log suffix is replayed
-//     with the straggler in its proper place; the difference between the
-//     previously emitted output and the replayed output is emitted as
-//     compensating retractions and insertions.
+//     straggler arrives, the operator is rewound to the state just before
+//     the straggler's position and the log suffix is replayed with the
+//     straggler in its proper place; the difference between the previously
+//     emitted output and the replayed output is emitted as compensating
+//     retractions and insertions.
 //
 //   - Forgetting (M < ∞): stragglers older than M behind the frontier are
 //     dropped (the weak level's license to leave earlier state wrong), and
@@ -61,12 +61,20 @@ import (
 //     source key is covered — an O(table) filter instead of the former
 //     full-log replay.
 //
-//   - Repair snapshots: every snapEvery admitted items the monitor clones
-//     the operator and the net-fact table. A straggler replays from the
-//     nearest snapshot at or before its position instead of from the
-//     checkpoint, making repair O(straggler depth + snapEvery) rather than
-//     O(items since the last guarantee). Snapshot state is a derived cache
-//     and is excluded from the Metrics state-size axis.
+//   - Versioned repair (operators.Versioned): every log item records the
+//     operator version and the net-fact journal position after it, so a
+//     straggler rewinds both in place to the item just before it and
+//     replays only itself and the items after it. Repair is O(straggler
+//     depth), and the diff visits only the ids the rewind and the fold
+//     touched.
+//
+//   - Legacy repair snapshots (operators that are not Versioned): every
+//     snapEvery admitted items the monitor clones the operator and the
+//     net-fact table. A straggler replays from the nearest snapshot at or
+//     before its position instead of from the checkpoint, making repair
+//     O(straggler depth + snapEvery) rather than O(items since the last
+//     guarantee). Snapshot state is a derived cache and is excluded from
+//     the Metrics state-size axis.
 //
 //   - The slices returned by Push, SetSpec and Finish alias an internal
 //     buffer and are valid only until the next call on this monitor;
@@ -77,28 +85,32 @@ type Monitor struct {
 	ckpt operators.Op // operator state as of the last absorbed guarantee (nil on the versioned path)
 	spec Spec
 
-	// The versioned checkpoint path (ISSUE 7): when the operator implements
-	// operators.Versioned (and is not stateless), the monitor stops keeping
-	// a second operator copy entirely. Checkpoints and repair snapshots
-	// become O(1) journal marks on the live operator:
+	// The versioned checkpoint path: when the operator implements
+	// operators.Versioned (and is not stateless), the monitor keeps no
+	// second operator copy. Every admitted log item records the operator
+	// version after it (an O(1) journal mark) and the position of the
+	// net-fact journal fj after it:
 	//
-	//   - maybeSnapshot records vop.Mark() instead of op.Clone();
-	//   - repair rewinds the live operator with vop.Rollback instead of
-	//     cloning a snapshot and replaying the whole suffix;
-	//   - checkpointTo no longer re-Processes absorbed items into a ckpt
-	//     operator — it just slides the base version forward and compacts
-	//     the journal below it.
+	//   - repair rolls the live operator back to the version of the item
+	//     just before the straggler, rewinds emitted to the same position,
+	//     and replays the straggler and the items after it;
+	//   - checkpointTo drives no operator: the base moves to the version of
+	//     the last absorbed item, and both journals are compacted below it.
 	//
-	// base is the newest version at or below the absorbed boundary; tail is
-	// the index of the first log item after base's boundary. Items in
-	// [tail, head) are absorbed but physically retained: a repair falling
-	// back to base re-drives them with discarded output (their facts were
-	// already finalized), which reproduces the legacy checkpoint state.
-	vop  operators.Versioned
-	base operators.Version
-	tail int
+	// base/fbase are the operator version and fj position after the last
+	// absorbed item: exactly the checkpoint state.
+	vop   operators.Versioned
+	base  operators.Version
+	fbase int
+	// fj is the undo journal of emitted: one entry per mutation, holding the
+	// entry it replaced. fj[k] has absolute position fjDrop+k.
+	fj     []factUndo
+	fjDrop int
+	// before holds, per id the current repair touched, the entry emitted had
+	// when the repair began: the diff's "old" side.
+	before map[event.ID]prior
 
-	// Snapshot cadence, tunable via WithSnapshotCadence (defaults
+	// Legacy snapshot cadence, tunable via WithSnapshotCadence (defaults
 	// snapEvery/maxSnaps). snapCadence <= 0 disables repair snapshots.
 	snapCadence int
 	snapBound   int
@@ -118,12 +130,14 @@ type Monitor struct {
 	seq           int
 	now           temporal.Time // current CEDR time
 
+	// Legacy path only: the repair snapshot cache and its scratch.
 	snaps     []snapshot // repair snapshots, ascending boundary
 	sinceSnap int
 	dirty     []event.ID              // ids touched by the current repair fold
 	spare     map[event.ID]*netFact   // reusable replay table (swapped with emitted)
 	tblPool   []map[event.ID]*netFact // recycled snapshot tables
 
+	facts     []netFact     // current net-fact chunk, versioned path (see newFact)
 	out       []event.Event // reusable output buffer (valid until next call)
 	diffIDs   []event.ID    // reusable diff scratch
 	ckptState int           // cached ckpt.StateSize(), changes only on checkpoint
@@ -186,6 +200,8 @@ const (
 	// maxSnaps is the default bound on retained snapshots; the oldest are
 	// dropped first (deep stragglers fall back to the checkpoint).
 	maxSnaps = 16
+	// factChunk is the largest net-fact chunk newFact allocates.
+	factChunk = 32
 	// compactAt triggers log-window compaction once the absorbed prefix
 	// outweighs the live window.
 	compactAt = 64
@@ -219,6 +235,11 @@ type logItem struct {
 	// checkpointTo report the exact checkpoint state size without holding a
 	// checkpoint operator to measure.
 	stateAfter int
+	// ver and fpos are the operator version and the net-fact journal
+	// position after this item (versioned path only; repair re-marks the
+	// replayed suffix). A straggler rewinds to its predecessor's pair.
+	ver  operators.Version
+	fpos int
 }
 
 func (li logItem) sync() temporal.Time {
@@ -253,13 +274,27 @@ type netFact struct {
 	srcSeq  int
 }
 
+// factUndo is one net-fact journal entry: the entry id held before a
+// mutation (existed false: none).
+type factUndo struct {
+	id      event.ID
+	prev    *netFact
+	existed bool
+}
+
+// prior is an id's net-fact entry as a repair found it.
+type prior struct {
+	nf  *netFact
+	had bool
+}
+
 // keyLE reports (a, as) <= (b, bs) in the log's (sync, seq) order.
 func keyLE(a temporal.Time, as int, b temporal.Time, bs int) bool {
 	return a < b || (a == b && as <= bs)
 }
 
-// snapshot is a repair cache entry: the operator state and net-fact table
-// as of the log prefix ending at boundary (bSync, bSeq).
+// snapshot is a legacy-path repair cache entry: an operator clone and the
+// net-fact table as of the log prefix ending at boundary (bSync, bSeq).
 type snapshot struct {
 	bSync temporal.Time
 	bSeq  int
@@ -268,12 +303,8 @@ type snapshot struct {
 	// repair can skip the staleness filter.
 	absSync temporal.Time
 	absSeq  int
-	// Exactly one of op/ver is meaningful: a deep operator clone on the
-	// legacy path, a journal version of the live operator on the versioned
-	// path (an O(1) handle instead of an O(state) copy).
-	op  operators.Op
-	ver operators.Version
-	tbl map[event.ID]*netFact
+	op      operators.Op
+	tbl     map[event.ID]*netFact
 }
 
 // Metrics quantifies the three axes of Figure 8 — blocking, state size and
@@ -321,10 +352,11 @@ func (m Metrics) MeanBlocking() float64 {
 // MonitorOption configures a Monitor beyond its consistency level.
 type MonitorOption func(*Monitor)
 
-// WithSnapshotCadence overrides the repair-snapshot policy: a snapshot
-// every `every` admitted items, keeping at most `max`. every <= 0 disables
-// snapshots entirely (repair always rebuilds from the checkpoint state);
-// max <= 0 keeps the default bound.
+// WithSnapshotCadence overrides the legacy path's repair-snapshot policy: a
+// snapshot every `every` admitted items, keeping at most `max`. every <= 0
+// disables snapshots entirely (repair always rebuilds from the checkpoint
+// state); max <= 0 keeps the default bound. It has no effect on Versioned
+// operators, whose repair rewinds to the straggler's predecessor exactly.
 func WithSnapshotCadence(every, max int) MonitorOption {
 	return func(m *Monitor) {
 		m.snapCadence = every
@@ -370,6 +402,7 @@ func NewMonitor(op operators.Op, spec Spec, opts ...MonitorOption) *Monitor {
 		// forward as guarantees absorb the log.
 		m.vop = vop
 		m.base = vop.Mark()
+		m.before = map[event.ID]prior{}
 		m.ckptState = op.StateSize()
 	} else {
 		m.ckpt = op.Clone()
@@ -586,11 +619,9 @@ func (m *Monitor) pushCTI(port int, t temporal.Time, arrival []byte) {
 	if m.tagging {
 		m.curClass, m.curSync, m.curArr = classGuarantee, key, arrival
 	}
-	m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
+	at := m.insertLog(logItem{marker: true, t: g, key: key, seq: sq})
 	m.emit(key, sq, tagAdvance, m.op.Advance(g))
-	if m.vop != nil {
-		m.log[len(m.log)-1].stateAfter = m.op.StateSize()
-	}
+	m.markItem(at)
 	// Absorb everything the guarantee finalizes into the checkpoint.
 	m.checkpointTo(g)
 	// Timed-out releases may also be due (the guarantee moved the frontier).
@@ -689,8 +720,8 @@ func (m *Monitor) releaseTimedOut() {
 }
 
 // admit feeds one event to the live operator, via the fast path when it is
-// in order and via snapshot rollback and replay when it is a straggler.
-// Probes advance but never Process.
+// in order and via rollback and replay when it is a straggler. Probes
+// advance but never Process.
 func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []byte) {
 	li := logItem{port: port, probe: probe, ev: e, seq: m.nextSeq(), opt: m.spec.B != Unbounded}
 	if m.tagging {
@@ -698,7 +729,7 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 	}
 	if e.Sync() >= m.processedSync {
 		// Fast path: the item extends the sorted window.
-		m.insertLog(li)
+		at := m.insertLog(li)
 		src := e.Sync()
 		if li.opt {
 			m.emit(src, li.seq, tagAdvance, m.op.Advance(src))
@@ -706,18 +737,20 @@ func (m *Monitor) admit(class byte, port int, e event.Event, probe bool, ext []b
 		if !probe {
 			m.emit(src, li.seq, tagProcess, m.op.Process(port, e))
 		}
-		if m.vop != nil {
-			m.log[len(m.log)-1].stateAfter = m.op.StateSize()
-		}
+		m.markItem(at)
 		m.processedSync = src
 		m.maybeSnapshot()
 		return
 	}
-	// Straggler: roll back to the nearest snapshot and replay.
+	// Straggler: roll back and replay.
 	if !probe {
 		m.met.Replays++
 	}
-	m.insertLog(li)
+	at := m.insertLog(li)
+	if m.vop != nil {
+		m.rewind(at)
+		return
+	}
 	if m.stateless {
 		if li.probe {
 			// A probe has no Process call, so replaying it through a
@@ -796,16 +829,143 @@ func (m *Monitor) repairStateless(li logItem) bool {
 		m.out = append(m.out, ins)
 		m.appendTag(tagDiff, id, nil)
 		m.met.OutputInserts++
-		m.emitted[id] = &netFact{ev: e, gen: ng, srcSync: src, srcSeq: sq}
+		m.emitted[id] = m.newFact(netFact{ev: e, gen: ng, srcSync: src, srcSeq: sq})
 	}
 	return true
 }
 
-// repair rewinds the operator to the latest snapshot preceding the
-// straggler li (falling back to the checkpoint state), replays the log
-// suffix, and emits the compensating deltas. On the versioned path the
-// rewind is a journal rollback of the live operator in place; on the legacy
-// path it clones the snapshot (or checkpoint) operator.
+// rewind is the versioned path's repair of the straggler just inserted at
+// log index at. It rolls the operator and the net-fact table back to the
+// state after the item before it (the base when there is none), replays the
+// straggler and every later item with the same calls the live path made,
+// re-marks each, and emits the compensating deltas for the ids the rewind
+// and the fold touched.
+func (m *Monitor) rewind(at int) {
+	ver, fpos := m.base, m.fbase
+	if at > m.head {
+		prev := &m.log[at-1]
+		ver, fpos = prev.ver, prev.fpos
+	}
+	if !m.vop.Rollback(ver) {
+		panic("consistency: log item version no longer rollbackable")
+	}
+	clear(m.before)
+	for n := fpos - m.fjDrop; len(m.fj) > n; {
+		u := m.fj[len(m.fj)-1]
+		m.fj[len(m.fj)-1] = factUndo{}
+		m.fj = m.fj[:len(m.fj)-1]
+		m.touch(u.id)
+		// An entry the checkpoint has absorbed since it was replaced is final
+		// and gone from the table; the rewound table must not revive it.
+		if u.existed && !keyLE(u.prev.srcSync, u.prev.srcSeq, m.absSync, m.absSeq) {
+			m.emitted[u.id] = u.prev
+		} else {
+			delete(m.emitted, u.id)
+		}
+	}
+	for i := at; i < len(m.log); i++ {
+		item := m.log[i]
+		if item.marker {
+			m.refold(item.key, item.seq, m.op.Advance(item.t))
+		} else {
+			if item.opt {
+				m.refold(item.ev.Sync(), item.seq, m.op.Advance(item.ev.Sync()))
+			}
+			if !item.probe {
+				m.refold(item.ev.Sync(), item.seq, m.op.Process(item.port, item.ev))
+			}
+		}
+		m.markItem(i)
+	}
+	ids := m.diffIDs[:0]
+	for id := range m.before {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	m.diffIDs = ids
+	for _, id := range ids {
+		old := m.before[id]
+		nw, hasNew := m.emitted[id]
+		if p := m.compensate(id, old.nf, old.had, nw, hasNew); p != nil {
+			m.putFact(id, nw, true, p)
+		}
+	}
+	// A huge repair must not leave every later clear paying for its size.
+	if len(m.before) > 4096 {
+		m.before = map[event.ID]prior{}
+	}
+}
+
+// markItem records the operator version, net-fact journal position and
+// state size after log item i (versioned path only).
+func (m *Monitor) markItem(i int) {
+	if m.vop == nil {
+		return
+	}
+	it := &m.log[i]
+	it.stateAfter = m.op.StateSize()
+	it.ver = m.vop.Mark()
+	it.fpos = m.fjDrop + len(m.fj)
+}
+
+// touch records id's net-fact entry as the current repair found it, on the
+// id's first touch, and returns that entry.
+func (m *Monitor) touch(id event.ID) prior {
+	p, seen := m.before[id]
+	if !seen {
+		p.nf, p.had = m.emitted[id]
+		m.before[id] = p
+	}
+	return p
+}
+
+// putFact replaces id's net-fact entry cur (had: present) with nf, deleting
+// it when nf is nil, and journals cur on the versioned path.
+func (m *Monitor) putFact(id event.ID, cur *netFact, had bool, nf *netFact) {
+	if m.vop != nil {
+		m.fj = append(m.fj, factUndo{id: id, prev: cur, existed: had})
+	}
+	if nf == nil {
+		delete(m.emitted, id)
+	} else {
+		m.emitted[id] = nf
+	}
+}
+
+// refold applies replayed operator outputs to the live net-fact table in
+// place, without emitting. A replayed output that reproduces the entry the
+// repair started from shares it, so the diff recognizes the untouched fact
+// by pointer identity.
+func (m *Monitor) refold(srcSync temporal.Time, srcSeq int, outs []event.Event) {
+	for _, e := range outs {
+		cur, ok := m.emitted[e.ID]
+		if e.Kind == event.Retract {
+			if !ok {
+				continue
+			}
+			m.touch(e.ID)
+			var next *netFact
+			if e.V.End > cur.ev.V.Start {
+				shrunk := *cur // copy-on-write: cur may be journaled
+				shrunk.ev.V.End = e.V.End
+				next = m.newFact(shrunk)
+			}
+			m.putFact(e.ID, cur, true, next)
+			continue
+		}
+		p := m.touch(e.ID)
+		nf := p.nf
+		if !p.had || nf.srcSync != srcSync || nf.srcSeq != srcSeq || !nf.ev.Identical(e) {
+			nf = m.newFact(netFact{ev: e, srcSync: srcSync, srcSeq: srcSeq})
+		}
+		m.putFact(e.ID, cur, ok, nf)
+	}
+}
+
+// repair is the legacy path's straggler repair: it rebuilds the operator
+// from the latest snapshot preceding the straggler li (falling back to the
+// checkpoint operator) by cloning, replays the log suffix into a scratch
+// net-fact table, and emits the compensating deltas.
 func (m *Monitor) repair(li logItem) {
 	s, q := li.sync(), li.seq
 	// Snapshots whose prefix spans the straggler's position were built
@@ -821,10 +981,6 @@ func (m *Monitor) repair(li logItem) {
 		break
 	}
 	start := m.head
-	// replay marks where folding begins: items before it (absorbed items a
-	// versioned base rewind re-drives) have finalized facts, so their
-	// outputs are discarded exactly as checkpointTo discarded them.
-	replay := m.head
 	// bSync/bSeq is the replay's start boundary: facts whose producer is at
 	// or before it are inherited and cannot silently vanish, so the diff
 	// only needs to visit fold-touched ids plus live facts produced by the
@@ -849,19 +1005,11 @@ func (m *Monitor) repair(li logItem) {
 	m.dirty = m.dirty[:0]
 	if n := len(m.snaps); n > 0 {
 		sn := m.snaps[n-1]
-		if m.vop != nil {
-			if !m.vop.Rollback(sn.ver) {
-				panic("consistency: snapshot version no longer rollbackable")
-			}
-			fresh = m.op
-		} else {
-			fresh = sn.op.Clone()
-		}
+		fresh = sn.op.Clone()
 		for id, nf := range sn.tbl {
 			tbl[id] = nf
 		}
 		start = m.searchAfter(sn.bSync, sn.bSeq)
-		replay = start
 		bSync, bSeq = sn.bSync, sn.bSeq
 		if sn.absSync != m.absSync || sn.absSeq != m.absSeq {
 			// The snapshot predates a checkpoint; drop facts the checkpoint
@@ -873,15 +1021,6 @@ func (m *Monitor) repair(li logItem) {
 				}
 			}
 		}
-	} else if m.vop != nil {
-		if !m.vop.Rollback(m.base) {
-			panic("consistency: base version no longer rollbackable")
-		}
-		fresh = m.op
-		// The base sits at or below the absorbed boundary: re-drive the
-		// retained absorbed items [tail, head) with discarded output to
-		// rebuild the checkpoint state, then fold the window as usual.
-		start = m.tail
 	} else {
 		fresh = m.ckpt.Clone()
 	}
@@ -889,33 +1028,15 @@ func (m *Monitor) repair(li logItem) {
 	var created []map[event.ID]*netFact
 	for i := start; i < len(m.log); i++ {
 		item := m.log[i]
-		discard := i < replay
 		if item.marker {
-			outs := fresh.Advance(item.t)
-			if !discard {
-				m.foldInto(tbl, item.key, item.seq, outs)
-			}
+			m.foldInto(tbl, item.key, item.seq, fresh.Advance(item.t))
 		} else {
 			if item.opt {
-				outs := fresh.Advance(item.ev.Sync())
-				if !discard {
-					m.foldInto(tbl, item.ev.Sync(), item.seq, outs)
-				}
+				m.foldInto(tbl, item.ev.Sync(), item.seq, fresh.Advance(item.ev.Sync()))
 			}
 			if !item.probe {
-				outs := fresh.Process(item.port, item.ev)
-				if !discard {
-					m.foldInto(tbl, item.ev.Sync(), item.seq, outs)
-				}
+				m.foldInto(tbl, item.ev.Sync(), item.seq, fresh.Process(item.port, item.ev))
 			}
-		}
-		if m.vop != nil {
-			// The straggler shifted every later prefix: re-record the
-			// checkpoint state sizes along the new timeline.
-			m.log[i].stateAfter = fresh.StateSize()
-		}
-		if discard {
-			continue
 		}
 		// Re-seed the snapshot cache as the replay walks forward, so
 		// straggler bursts do not degenerate to checkpoint replays.
@@ -923,14 +1044,8 @@ func (m *Monitor) repair(li logItem) {
 		if m.sinceSnap >= m.snapCadence && i+1 < len(m.log) && m.wantSnapshots() {
 			ct := m.copyTable(tbl)
 			created = append(created, ct)
-			sn := snapshot{bSync: item.sync(), bSeq: item.seq,
-				absSync: m.absSync, absSeq: m.absSeq, tbl: ct}
-			if m.vop != nil {
-				sn.ver = m.vop.Mark()
-			} else {
-				sn.op = fresh.Clone()
-			}
-			m.addSnapshot(sn)
+			m.addSnapshot(snapshot{bSync: item.sync(), bSeq: item.seq,
+				absSync: m.absSync, absSeq: m.absSeq, op: fresh.Clone(), tbl: ct})
 			m.sinceSnap = 0
 		}
 	}
@@ -969,8 +1084,8 @@ func (m *Monitor) repair(li logItem) {
 // binary search — the window is already sorted, so insertion replaces the
 // former full-log sort. The new item carries the largest seq ever issued,
 // so the upper bound after its key is its unique position; fast-path items
-// land at the end with zero movement.
-func (m *Monitor) insertLog(li logItem) {
+// land at the end with zero movement. It returns the item's index.
+func (m *Monitor) insertLog(li logItem) int {
 	if li.probe {
 		m.probeLog++
 	}
@@ -989,15 +1104,16 @@ func (m *Monitor) insertLog(li logItem) {
 	// entry lands here), so the binary search and the shift are skipped.
 	if n := len(m.log); n == m.head {
 		m.log = append(m.log, li)
-		return
+		return n
 	} else if ts := m.log[n-1].sync(); ts < ls || (ts == ls && m.log[n-1].seq <= li.seq) {
 		m.log = append(m.log, li)
-		return
+		return n
 	}
 	i := m.searchAfter(ls, li.seq)
 	m.log = append(m.log, logItem{})
 	copy(m.log[i+1:], m.log[i:])
 	m.log[i] = li
+	return i
 }
 
 // searchAfter returns the index of the first window item ordered after the
@@ -1011,17 +1127,17 @@ func (m *Monitor) searchAfter(bSync temporal.Time, bSeq int) int {
 }
 
 func (m *Monitor) wantSnapshots() bool {
-	// Snapshots only pay off where repair can happen: optimistic levels
+	// Snapshots serve the legacy path only (the versioned path marks every
+	// item), and only pay off where repair can happen: optimistic levels
 	// (B < ∞) with memory to repair (M > 0). Strong never replays; weak(0)
 	// drops every straggler. Stateless operators repair without replay, so
 	// they skip the cache entirely. A non-positive cadence disables the
 	// cache outright.
-	return m.spec.B != Unbounded && m.spec.M != 0 && !m.stateless && m.snapCadence > 0
+	return m.vop == nil && m.spec.B != Unbounded && m.spec.M != 0 && !m.stateless && m.snapCadence > 0
 }
 
-// maybeSnapshot records a repair snapshot at the current end of the log
-// every snapCadence admitted items. On the versioned path the operator
-// part is an O(1) journal mark; only the net-fact table is copied.
+// maybeSnapshot records a legacy repair snapshot at the current end of the
+// log every snapCadence admitted items.
 func (m *Monitor) maybeSnapshot() {
 	if !m.wantSnapshots() {
 		return
@@ -1031,14 +1147,8 @@ func (m *Monitor) maybeSnapshot() {
 		return
 	}
 	last := &m.log[len(m.log)-1]
-	sn := snapshot{bSync: last.sync(), bSeq: last.seq, tbl: m.copyTable(m.emitted)}
-	if m.vop != nil {
-		sn.ver = m.vop.Mark()
-		sn.absSync, sn.absSeq = m.absSync, m.absSeq
-	} else {
-		sn.op = m.op.Clone()
-	}
-	m.addSnapshot(sn)
+	m.addSnapshot(snapshot{bSync: last.sync(), bSeq: last.seq,
+		absSync: m.absSync, absSeq: m.absSeq, op: m.op.Clone(), tbl: m.copyTable(m.emitted)})
 	m.sinceSnap = 0
 }
 
@@ -1083,11 +1193,11 @@ func (m *Monitor) recycle(tbl map[event.ID]*netFact) {
 // On the legacy path the items are re-Processed into the checkpoint
 // operator (with the same advance policy the live path used, so the two
 // stay identical); on the versioned path no operator is driven at all —
-// the base version just slides forward to the newest mark at or below the
-// new boundary and the journal below it is compacted. Instead of replaying
-// the remaining suffix to rebuild the net-emitted table, it drops the
-// facts the absorbed prefix produced — each fact records its source item's
-// Sync — which is equivalent and O(table).
+// the base moves to the last absorbed item's version and both journals are
+// compacted below it. Instead of replaying the remaining suffix to rebuild
+// the net-emitted table, it drops the facts the absorbed prefix produced —
+// each fact records its source item's Sync — which is equivalent and
+// O(table).
 func (m *Monitor) checkpointTo(g temporal.Time) {
 	cut := m.head
 	for cut < len(m.log) && m.log[cut].sync() <= g {
@@ -1115,25 +1225,11 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 	if cut == m.head {
 		return
 	}
-	ls, lq := m.log[cut-1].sync(), m.log[cut-1].seq
-	if m.vop != nil && cut == len(m.log) {
-		// Every window item is absorbed: the live operator state IS the new
-		// checkpoint. Re-mark the base here and drop the whole snapshot
-		// cache — every snapshot's prefix is covered by the new base, and
-		// compacting the journal to the fresh mark would invalidate their
-		// versions anyway.
-		for i := range m.snaps {
-			m.recycle(m.snaps[i].tbl)
-			m.snaps[i] = snapshot{}
-		}
-		m.snaps = m.snaps[:0]
-		m.base = m.vop.Mark()
-		m.tail = cut
-	} else {
+	last := &m.log[cut-1]
+	ls, lq := last.sync(), last.seq
+	if m.vop == nil {
 		// Snapshots that do not cover the absorbed prefix would need
-		// discarded log items to replay; drop them. On the versioned path
-		// the newest dropped snapshot becomes the base: the closest journal
-		// position at or below the new absorbed boundary.
+		// discarded log items to replay; drop them.
 		keep := 0
 		for keep < len(m.snaps) {
 			sn := &m.snaps[keep]
@@ -1144,10 +1240,6 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 			break
 		}
 		if keep > 0 {
-			if m.vop != nil {
-				m.base = m.snaps[keep-1].ver
-				m.tail = m.searchAfter(m.snaps[keep-1].bSync, m.snaps[keep-1].bSeq)
-			}
 			for i := 0; i < keep; i++ {
 				m.recycle(m.snaps[i].tbl)
 			}
@@ -1165,30 +1257,30 @@ func (m *Monitor) checkpointTo(g temporal.Time) {
 	}
 	// Facts produced by the absorbed prefix are final; forget them. This is
 	// exactly the table a replay of the remaining suffix over the new
-	// checkpoint would build.
+	// checkpoint would build. (On the versioned path these deletes are not
+	// journaled: a rewind filters absorbed entries out as it restores.)
 	for id, nf := range m.emitted {
 		if keyLE(nf.srcSync, nf.srcSeq, ls, lq) {
 			delete(m.emitted, id)
 		}
 	}
 	if m.vop != nil {
-		// The recorded post-item state size of the boundary item is exactly
-		// what a checkpoint operator would measure after absorbing the
-		// prefix.
-		m.ckptState = m.log[cut-1].stateAfter
+		// The boundary item's recorded version and post-item state size are
+		// exactly the checkpoint state and what a checkpoint operator would
+		// measure after absorbing the prefix.
+		m.base, m.fbase = last.ver, last.fpos
+		m.ckptState = last.stateAfter
 		m.vop.Compact(m.base)
-		// Amortized compaction of the log prefix below the base boundary
-		// (items in [tail, head) must stay: a base rewind re-drives them).
-		if m.tail >= compactAt && m.tail >= len(m.log)-m.tail {
-			n := copy(m.log, m.log[m.tail:])
-			clear(m.log[n:])
-			m.log = m.log[:n]
-			m.head -= m.tail
-			m.tail = 0
+		// Amortized compaction of the net-fact journal below the base.
+		if n := m.fbase - m.fjDrop; n > 0 && n >= len(m.fj)-n {
+			k := copy(m.fj, m.fj[n:])
+			clear(m.fj[k:])
+			m.fj = m.fj[:k]
+			m.fjDrop = m.fbase
 		}
-		return
+	} else {
+		m.ckptState = m.ckpt.StateSize()
 	}
-	m.ckptState = m.ckpt.StateSize()
 	// Amortized compaction of the absorbed prefix.
 	if m.head >= compactAt && m.head >= len(m.log)-m.head {
 		n := copy(m.log, m.log[m.head:])
@@ -1218,35 +1310,34 @@ func (m *Monitor) trimMemory() {
 // the output.
 func (m *Monitor) emit(srcSync temporal.Time, srcSeq int, phase byte, outs []event.Event) {
 	for _, e := range outs {
-		gid := m.genOf(e.ID)
+		nf, ok := m.emitted[e.ID]
+		var gid uint64
+		if ok {
+			gid = nf.gen
+		} else {
+			gid = m.gen[e.ID]
+		}
 		if e.Kind == event.Retract {
 			m.met.OutputRetractions++
-			if nf, ok := m.emitted[e.ID]; ok {
+			if ok {
 				if e.V.End <= nf.ev.V.Start {
 					m.gen[e.ID] = nf.gen + 1 // retire this generation
-					delete(m.emitted, e.ID)
+					m.putFact(e.ID, nf, true, nil)
 				} else {
 					shrunk := *nf // copy-on-write: nf may be shared with snapshots
 					shrunk.ev.V.End = e.V.End
-					m.emitted[e.ID] = &shrunk
+					m.putFact(e.ID, nf, true, m.newFact(shrunk))
 				}
 			}
 		} else {
 			m.met.OutputInserts++
-			m.emitted[e.ID] = &netFact{ev: e, gen: gid, srcSync: srcSync, srcSeq: srcSeq}
+			m.putFact(e.ID, nf, ok, m.newFact(netFact{ev: e, gen: gid, srcSync: srcSync, srcSeq: srcSeq}))
 		}
 		m.appendTag(phase, e.ID, &e)
 		r := e
 		r.ID = event.Pair(e.ID, event.ID(gid))
 		m.out = append(m.out, r)
 	}
-}
-
-func (m *Monitor) genOf(id event.ID) uint64 {
-	if nf, ok := m.emitted[id]; ok {
-		return nf.gen
-	}
-	return m.gen[id]
 }
 
 // foldInto applies operator outputs to a net-fact table without emitting.
@@ -1263,7 +1354,7 @@ func (m *Monitor) foldInto(tbl map[event.ID]*netFact, srcSync temporal.Time, src
 				} else {
 					shrunk := *nf // copy-on-write: nf may be shared with snapshots
 					shrunk.ev.V.End = e.V.End
-					tbl[e.ID] = &shrunk
+					tbl[e.ID] = m.newFact(shrunk)
 				}
 			}
 			continue
@@ -1273,16 +1364,15 @@ func (m *Monitor) foldInto(tbl map[event.ID]*netFact, srcSync temporal.Time, src
 			continue
 		}
 		m.dirty = append(m.dirty, e.ID)
-		tbl[e.ID] = &netFact{ev: e, srcSync: srcSync, srcSeq: srcSeq}
+		tbl[e.ID] = m.newFact(netFact{ev: e, srcSync: srcSync, srcSeq: srcSeq})
 	}
 }
 
-// diff compares the previously emitted net facts against the replayed net
-// facts and appends the compensating physical deltas: retractions for facts
-// that shrank or vanished, fresh inserts (under a bumped generation) for
-// facts that appeared or changed shape. Only the ids in m.dirty — the
-// candidates the repair fold collected — can differ; everything else is
-// inherited or re-derived as the identical shared entry.
+// diff is the legacy path's compensation: it compares the previously
+// emitted net facts against the replayed net facts and appends the
+// compensating physical deltas. Only the ids in m.dirty — the candidates
+// the repair fold collected — can differ; everything else is inherited or
+// re-derived as the identical shared entry.
 func (m *Monitor) diff(next map[event.ID]*netFact) {
 	ids := append(m.diffIDs[:0], m.dirty...)
 	slices.Sort(ids)
@@ -1297,79 +1387,104 @@ func (m *Monitor) diff(next map[event.ID]*netFact) {
 		prev, first = id, false
 		old, hadOld := m.emitted[id]
 		nw, hasNew := next[id]
-		if !hadOld && !hasNew {
-			continue // touched during the fold but net-absent on both sides
-		}
-		if hadOld && old == nw {
-			// Shared entry: the replay reproduced this fact bit for bit
-			// (same generation included); nothing to emit or patch.
-			continue
-		}
-		switch {
-		case hadOld && !hasNew:
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = r.V.Start
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
-			m.gen[id] = old.gen + 1
-		case !hadOld && hasNew:
-			ng := m.gen[id]
-			ins := nw.ev
-			ins.ID = event.Pair(id, event.ID(ng))
-			if nw.gen != ng {
-				cp := *nw
-				cp.gen = ng
-				next[id] = &cp
-			}
-			m.out = append(m.out, ins)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputInserts++
-		case old.ev.SameFact(nw.ev):
-			if nw.gen != old.gen {
-				cp := *nw
-				cp.gen = old.gen
-				next[id] = &cp
-			}
-		case nw.ev.V.Start == old.ev.V.Start && nw.ev.V.End < old.ev.V.End && nw.ev.Payload.Equal(old.ev.Payload):
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = nw.ev.V.End
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
-			if nw.gen != old.gen {
-				cp := *nw
-				cp.gen = old.gen
-				next[id] = &cp
-			}
-		default:
-			// Shape changed: remove and reinsert under a new generation.
-			r := old.ev
-			r.Kind = event.Retract
-			r.V.End = r.V.Start
-			r.ID = event.Pair(id, event.ID(old.gen))
-			m.out = append(m.out, r)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputRetractions++
-			m.met.Compensations++
-			ng := old.gen + 1
-			ins := nw.ev
-			ins.ID = event.Pair(id, event.ID(ng))
-			m.out = append(m.out, ins)
-			m.appendTag(tagDiff, id, nil)
-			m.met.OutputInserts++
-			cp := *nw
-			cp.gen = ng
-			next[id] = &cp
-			m.gen[id] = ng
+		if p := m.compensate(id, old, hadOld, nw, hasNew); p != nil {
+			next[id] = p
 		}
 	}
+}
+
+// compensate appends the physical deltas that turn id's previously emitted
+// net fact old (hadOld: present) into its replayed fact nw (hasNew:
+// present): retractions for a fact that shrank or vanished, a fresh insert
+// (under a bumped generation) for one that appeared or changed shape. It
+// returns the entry that must replace nw to carry the right generation, or
+// nil when nw stands.
+func (m *Monitor) compensate(id event.ID, old *netFact, hadOld bool, nw *netFact, hasNew bool) *netFact {
+	if !hadOld && !hasNew {
+		return nil // touched during the fold but net-absent on both sides
+	}
+	if hadOld && old == nw {
+		// Shared entry: the replay reproduced this fact bit for bit (same
+		// generation included); nothing to emit or patch.
+		return nil
+	}
+	switch {
+	case hadOld && !hasNew:
+		m.retract(id, old, old.ev.V.Start)
+		m.gen[id] = old.gen + 1
+	case !hadOld && hasNew:
+		ng := m.gen[id]
+		m.insert(id, nw, ng)
+		return m.regen(nw, ng)
+	case old.ev.SameFact(nw.ev):
+		return m.regen(nw, old.gen)
+	case nw.ev.V.Start == old.ev.V.Start && nw.ev.V.End < old.ev.V.End && nw.ev.Payload.Equal(old.ev.Payload):
+		m.retract(id, old, nw.ev.V.End)
+		return m.regen(nw, old.gen)
+	default:
+		// Shape changed: remove and reinsert under a new generation.
+		m.retract(id, old, old.ev.V.Start)
+		ng := old.gen + 1
+		m.insert(id, nw, ng)
+		m.gen[id] = ng
+		return m.regen(nw, ng)
+	}
+	return nil
+}
+
+// regen returns a copy of nf under generation g, or nil when nf already
+// carries it.
+func (m *Monitor) regen(nf *netFact, g uint64) *netFact {
+	if nf.gen == g {
+		return nil
+	}
+	cp := *nf
+	cp.gen = g
+	return m.newFact(cp)
+}
+
+// newFact returns a pointer to a copy of nf. On the versioned path it is
+// carved from the monitor's current fact chunk: chunks double from 4
+// entries up to factChunk, so a monitor that emits little holds little,
+// and one that emits a lot pays one allocation per factChunk facts instead
+// of one per fact. A chunk stays reachable while any of its facts does.
+// The legacy path allocates each fact alone: its snapshot tables and an
+// aggregate's shrink-and-replace churn keep facts alive out of creation
+// order, and chunking there raised the live heap of Middle-level count
+// aggregates by 12-17% without making them faster.
+func (m *Monitor) newFact(nf netFact) *netFact {
+	if m.vop == nil {
+		p := new(netFact) // not &nf: that would move nf to the heap on every call
+		*p = nf
+		return p
+	}
+	if len(m.facts) == cap(m.facts) {
+		m.facts = make([]netFact, 0, min(max(2*cap(m.facts), 4), factChunk))
+	}
+	m.facts = append(m.facts, nf)
+	return &m.facts[len(m.facts)-1]
+}
+
+// retract appends a compensating retraction cutting old's interval back to
+// end.
+func (m *Monitor) retract(id event.ID, old *netFact, end temporal.Time) {
+	r := old.ev
+	r.Kind = event.Retract
+	r.V.End = end
+	r.ID = event.Pair(id, event.ID(old.gen))
+	m.out = append(m.out, r)
+	m.appendTag(tagDiff, id, nil)
+	m.met.OutputRetractions++
+	m.met.Compensations++
+}
+
+// insert appends nw's fact as a fresh insertion under generation g.
+func (m *Monitor) insert(id event.ID, nw *netFact, g uint64) {
+	ins := nw.ev
+	ins.ID = event.Pair(id, event.ID(g))
+	m.out = append(m.out, ins)
+	m.appendTag(tagDiff, id, nil)
+	m.met.OutputInserts++
 }
 
 // stampOut sets the CEDR time of the buffered output items to the current

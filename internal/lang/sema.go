@@ -392,21 +392,15 @@ func (b *binder) termSite(t Term) (int, error) {
 
 // corrKeyPredicates expands CorrelationKey(attr, EQUAL|UNIQUE) (or the
 // [attr Equal 'lit'] shorthand) into a positive equivalence test plus a
-// correlation predicate for negation sites.
+// correlation predicate for negation sites. Both run per candidate match,
+// so they collect the attribute values into stack buffers and allocate
+// nothing for up to corrKeyBuf aliases.
 func (b *binder) corrKeyPredicates(pred Pred) (predFn, algebra.CorrPred) {
 	attr, mode, lit := pred.CorrAttr, pred.CorrMode, pred.CorrLit
 	suffix := "." + attr
-	values := func(p event.Payload) []event.Value {
-		var vs []event.Value
-		for k, v := range p {
-			if strings.HasSuffix(k, suffix) {
-				vs = append(vs, v)
-			}
-		}
-		return vs
-	}
 	pos := func(p event.Payload) bool {
-		vs := values(p)
+		var buf [corrKeyBuf]event.Value
+		vs := appendCorrValues(buf[:0], p, suffix)
 		if mode == "UNIQUE" {
 			for i := range vs {
 				for j := i + 1; j < len(vs); j++ {
@@ -428,8 +422,9 @@ func (b *binder) corrKeyPredicates(pred Pred) (predFn, algebra.CorrPred) {
 		return true
 	}
 	corr := func(posP, negP event.Payload) bool {
-		nvs := values(negP)
-		pvs := values(posP)
+		var nbuf, pbuf [corrKeyBuf]event.Value
+		nvs := appendCorrValues(nbuf[:0], negP, suffix)
+		pvs := appendCorrValues(pbuf[:0], posP, suffix)
 		if mode == "UNIQUE" {
 			for _, nv := range nvs {
 				for _, pv := range pvs {
@@ -453,6 +448,21 @@ func (b *binder) corrKeyPredicates(pred Pred) (predFn, algebra.CorrPred) {
 		return true
 	}
 	return pos, corr
+}
+
+// corrKeyBuf is the number of correlated aliases the CorrelationKey
+// predicates hold on the stack; wider patterns spill to the heap.
+const corrKeyBuf = 8
+
+// appendCorrValues appends to dst the values of p's attributes named
+// <alias>.<attr>, i.e. every key ending in suffix ("." + attr).
+func appendCorrValues(dst []event.Value, p event.Payload, suffix string) []event.Value {
+	for k, v := range p {
+		if strings.HasSuffix(k, suffix) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 func termValue(t Term, p event.Payload) event.Value {
